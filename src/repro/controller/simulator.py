@@ -3,7 +3,7 @@
 Runs a workload's batches in arrival order against the simulated cluster:
 
   trace (Spark BSP, partition-independent)
-    → per-assignment worker reports (Spark joins, :class:`TraceStats`)
+    → per-assignment worker reports (driver-side pandas, :class:`TraceStats`)
       → per-batch latency/locality/imbalance (:func:`simulate_batch`)
         → MAPE adaptivity (:class:`AdaptiveController`)
           → Q-cut ILS (:func:`run_qcut`) → move(LS(q,w), w, w') → new
@@ -13,6 +13,8 @@ Static configurations simply never repartition. The Q-cut ILS runs
 asynchronously in the real system (its latency is hidden, Appendix A.3);
 here the visible repartitioning overhead is the global STOP/START barrier
 plus vertex shipping, charged to the batch after the move.
+
+Everything after the trace runs on the driver; no step here needs Spark.
 """
 from __future__ import annotations
 
@@ -20,14 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.cluster.assignment import Assignment
 from repro.cluster.costmodel import M2, CostModel
 from repro.cluster.partitioners import domain_partition, hash_partition, ldg_partition
 from repro.controller.adaptivity import AdaptiveController, AdaptivityParams
-from repro.controller.stats import TraceStats
-from repro.core.qcut import QcutInput, QcutResult, run_qcut
+from repro.controller.stats import TraceStats, qcut_input
+from repro.core.qcut import QcutResult, run_qcut
 from repro.engine.trace import Trace
 from repro.queries.workload import Query, queries_by_batch
 from repro.roadnet.generator import RoadNetwork
@@ -165,159 +166,132 @@ def _apply_qcut_moves(
 
 
 def run_experiment(
-    spark: SparkSession,
+    spark,
     net: RoadNetwork,
     queries: list[Query],
     trace: Trace,
     cfg: ExperimentConfig,
 ) -> ExperimentResult:
-    """Price the traced workload under ``cfg``; adapt if configured."""
+    """Price the traced workload under ``cfg``; adapt if configured.
+
+    ``spark`` is unused (pass ``None``): pricing works on the driver-side
+    trace. The parameter stays first so existing positional callers keep
+    working."""
     assignment = initial_assignment(net, cfg.k, cfg.initial)
-    stats = TraceStats(spark, trace)
+    stats = TraceStats(trace)
     controller = AdaptiveController(params=cfg.adaptivity)
-    try:
-        ac = stats.active_counts(assignment)
-        mc = stats.message_counts(assignment)
+    ac = stats.active_counts(assignment)
+    mc = stats.message_counts(assignment)
 
-        batch_rows = []
-        query_rows = []
-        qcut_runs: list[QcutResult] = []
-        rng_seq = 0
-        for batch, qs in queries_by_batch(queries).items():
-            qids = [q.qid for q in qs]
-            ac_b = ac[ac["qid"].isin(qids)]
-            mc_b = mc[mc["qid"].isin(qids)] if len(mc) else mc
+    batch_rows = []
+    query_rows = []
+    qcut_runs: list[QcutResult] = []
+    for batch, qs in queries_by_batch(queries).items():
+        qids = [q.qid for q in qs]
+        ac_b = ac[ac["qid"].isin(qids)]
+        mc_b = mc[mc["qid"].isin(qids)]
 
-            # ---- MAPE analyze/plan: decide on stats up to the previous
-            # batch, repartition at a global barrier *during* this batch
-            # (paper §3.3/§3.4: the Q-cut runs asynchronously; running
-            # queries' scopes move mid-flight and their remaining
-            # iterations execute on the optimized partitioning).
-            repartitioned = False
-            moved = 0
-            switch_tick = 0
-            if cfg.adaptive and controller.should_repartition(batch - 1):
-                t_batch = int(ac_b["iter"].max()) + 1
-                switch_tick = max(2, int(round(cfg.repartition_tick_frac * t_batch)))
-                # running queries have only reported iterations < switch_tick
-                iter_lt = {int(q): switch_tick for q in qids}
-                window = controller.window_qids(batch - 1) + [int(q) for q in qids]
-                window = window[: cfg.adaptivity.max_window_queries]
-                # One Spark pass extracts the window's distinct scope
-                # membership (the vertex-scale operation); |LS| sizes and
-                # pairwise intersections are controller-local arithmetic on
-                # that small result — the paper's high-level representation.
-                sv = stats.scope_vertices(window, iter_lt)
-                sv = sv.assign(worker=assignment.worker_of(sv["vid"].to_numpy()))
-                ls_pdf = (
-                    sv.groupby(["qid", "worker"]).size().rename("size").reset_index()
+        # ---- MAPE analyze/plan: decide on stats up to the previous
+        # batch, repartition at a global barrier *during* this batch
+        # (paper §3.3/§3.4: the Q-cut runs asynchronously; running
+        # queries' scopes move mid-flight and their remaining
+        # iterations execute on the optimized partitioning).
+        repartitioned = False
+        moved = 0
+        switch_tick = 0
+        if cfg.adaptive and controller.should_repartition(batch - 1):
+            t_batch = int(ac_b["iter"].max()) + 1
+            switch_tick = max(2, int(round(cfg.repartition_tick_frac * t_batch)))
+            # running queries have only reported iterations < switch_tick
+            iter_lt = {int(q): switch_tick for q in qids}
+            window = controller.window_qids(batch - 1) + [int(q) for q in qids]
+            window = window[: cfg.adaptivity.max_window_queries]
+            qin = qcut_input(stats.scope_vertices(window, iter_lt), assignment)
+            if qin.qids:
+                qres = run_qcut(
+                    qin,
+                    delta=cfg.adaptivity.delta,
+                    target_clusters=cfg.target_clusters,
+                    time_budget=cfg.ils_time_budget,
+                    max_rounds=cfg.ils_max_rounds,
+                    # fixed seed: clustering boundaries stay stable
+                    # across repartitions, so placements accrete
+                    # instead of reshuffling chunk borders every time
+                    seed=cfg.seed,
                 )
-                pairs = sv[["qid", "vid"]].merge(sv[["qid", "vid"]], on="vid")
-                pairs = pairs[pairs["qid_x"] < pairs["qid_y"]]
-                ov_pdf = (
-                    pairs.groupby(["qid_x", "qid_y"]).size().rename("shared")
-                    .reset_index().rename(columns={"qid_x": "qa", "qid_y": "qb"})
+                qcut_runs.append(qres)
+                a = trace.activations
+                win_act = a[
+                    a["qid"].isin(set(qin.qids))
+                    & (~a["qid"].isin(set(qids)) | (a["iter"] < switch_tick))
+                ]
+                assignment, moved = _apply_qcut_moves(
+                    assignment, qres, win_act, net
                 )
-                w_qids = sorted(set(int(q) for q in ls_pdf["qid"]))
-                if w_qids:
-                    ls = np.zeros((len(w_qids), cfg.k))
-                    pos = {q: i for i, q in enumerate(w_qids)}
-                    for q, w, sz in ls_pdf[["qid", "worker", "size"]].itertuples(index=False):
-                        ls[pos[int(q)], int(w)] = sz
-                    overlaps = {
-                        (int(a), int(b)): float(s)
-                        for a, b, s in ov_pdf[["qa", "qb", "shared"]].itertuples(index=False)
-                    }
-                    qres = run_qcut(
-                        QcutInput(qids=w_qids, ls=ls,
-                                  vcounts=assignment.vertex_counts(), overlaps=overlaps),
-                        delta=cfg.adaptivity.delta,
-                        target_clusters=cfg.target_clusters,
-                        time_budget=cfg.ils_time_budget,
-                        max_rounds=cfg.ils_max_rounds,
-                        # fixed seed: clustering boundaries stay stable
-                        # across repartitions, so placements accrete
-                        # instead of reshuffling chunk borders every time
-                        seed=cfg.seed,
+                if moved:
+                    # only batches not yet priced need the new prices
+                    min_qid = min(int(q) for q in qids)
+                    ac = pd.concat(
+                        [ac[ac["qid"] < min_qid], stats.active_counts(assignment, min_qid)],
+                        ignore_index=True,
                     )
-                    rng_seq += 1
-                    qcut_runs.append(qres)
-                    a = trace.activations
-                    win_act = a[
-                        a["qid"].isin(set(w_qids))
-                        & (~a["qid"].isin(set(qids)) | (a["iter"] < switch_tick))
-                    ]
-                    assignment, moved = _apply_qcut_moves(
-                        assignment, qres, win_act, net
+                    mc = pd.concat(
+                        [mc[mc["qid"] < min_qid], stats.message_counts(assignment, min_qid)],
+                        ignore_index=True,
                     )
-                    if moved:
-                        # only batches not yet priced need the new prices
-                        min_qid = min(int(q) for q in qids)
-                        keep_a = ac[ac["qid"] < min_qid]
-                        keep_m = mc[mc["qid"] < min_qid] if len(mc) else mc
-                        ac = pd.concat(
-                            [keep_a, stats.active_counts(assignment, min_qid)],
-                            ignore_index=True,
-                        )
-                        mc = pd.concat(
-                            [keep_m, stats.message_counts(assignment, min_qid)],
-                            ignore_index=True,
-                        )
-                    controller.repartitioned(batch)
-                    repartitioned = True
+                controller.repartitioned(batch)
+                repartitioned = True
 
-            if repartitioned:
-                overhead = (
-                    cfg.cost.barrier_cost(cfg.k)
-                    + moved * cfg.cost.move_per_vertex / cfg.k
-                )
-                res = simulate_batch_switch(
-                    ac_b,
-                    mc_b,
-                    ac[ac["qid"].isin(qids)],
-                    mc[mc["qid"].isin(qids)] if len(mc) else mc,
-                    switch_tick=switch_tick,
-                    switch_overhead=overhead,
-                    k=cfg.k,
-                    cost=cfg.cost,
-                    mode=cfg.barrier,
-                )
-            else:
-                res = simulate_batch(
-                    ac_b, mc_b, k=cfg.k, cost=cfg.cost, mode=cfg.barrier
-                )
-            controller.observe_batch(batch, res.locality, res.worker_totals)
-            window_imbalance = controller.window_imbalance(batch)
+        if repartitioned:
+            overhead = (
+                cfg.cost.barrier_cost(cfg.k)
+                + moved * cfg.cost.move_per_vertex / cfg.k
+            )
+            res = simulate_batch_switch(
+                ac_b,
+                mc_b,
+                ac[ac["qid"].isin(qids)],
+                mc[mc["qid"].isin(qids)],
+                switch_tick=switch_tick,
+                switch_overhead=overhead,
+                k=cfg.k,
+                cost=cfg.cost,
+                mode=cfg.barrier,
+            )
+        else:
+            res = simulate_batch(
+                ac_b, mc_b, k=cfg.k, cost=cfg.cost, mode=cfg.barrier
+            )
+        controller.observe_batch(batch, res.locality, res.worker_totals)
+        window_imbalance = controller.window_imbalance(batch)
 
-            batch_rows.append(
+        batch_rows.append(
+            {
+                "batch": batch,
+                "n_queries": len(qids),
+                "avg_latency": res.avg_latency,
+                "sum_latency": res.sum_latency,
+                "avg_locality": res.avg_locality,
+                "imbalance": res.imbalance,
+                "imbalance_window": window_imbalance,
+                "repartitioned": repartitioned,
+                "moved_vertices": moved,
+            }
+        )
+        query_rows.append(
+            pd.DataFrame(
                 {
+                    "qid": res.latencies.index,
                     "batch": batch,
-                    "n_queries": len(qids),
-                    "avg_latency": res.avg_latency,
-                    "sum_latency": res.sum_latency,
-                    "avg_locality": res.avg_locality,
-                    "imbalance": res.imbalance,
-                    "imbalance_window": window_imbalance,
-                    "repartitioned": repartitioned,
-                    "moved_vertices": moved,
+                    "latency": res.latencies.values,
+                    "locality": res.locality.values,
                 }
             )
-            query_rows.append(
-                pd.DataFrame(
-                    {
-                        "qid": res.latencies.index,
-                        "batch": batch,
-                        "latency": res.latencies.values,
-                        "locality": res.locality.values,
-                    }
-                )
-            )
-        return ExperimentResult(
-            config=cfg,
-            per_batch=pd.DataFrame(batch_rows),
-            per_query=pd.concat(query_rows, ignore_index=True),
-            final_assignment=assignment,
-            qcut_runs=qcut_runs,
         )
-    finally:
-        stats.close()
+    return ExperimentResult(
+        config=cfg,
+        per_batch=pd.DataFrame(batch_rows),
+        per_query=pd.concat(query_rows, ignore_index=True),
+        final_assignment=assignment,
+        qcut_runs=qcut_runs,
+    )

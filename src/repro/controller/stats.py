@@ -2,10 +2,12 @@
 
 Workers report ``stats(q, |LS(q,w)|, I_w, w)`` after each iteration; the
 controller aggregates local scopes into global scopes and intersection
-functions. In this reproduction the worker reports are derived from the
-execution trace joined with the current vertex assignment — as Spark
-DataFrame aggregations over Catalyst (these are the vertex-scale joins of
-the reproduction; the downstream ILS consumes only their small outputs).
+functions. In this reproduction the worker reports are computed on the
+driver from the execution trace and the current vertex assignment: each
+trace row's worker is a gather ``assignment.workers[vid]`` and each report is
+a pandas group count. The trace and the assignment already live on the
+driver and the reports are the paper's small high-level representation
+(§3.2), so Spark runs only the BSP engine that produced the trace.
 
 Every aggregation here has a DuckDB-oracle test in
 ``tests/test_stats_oracle.py``.
@@ -14,76 +16,32 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.cluster.assignment import Assignment
+from repro.core.qcut import QcutInput
 from repro.engine.trace import Trace
 
 
-class TraceStats:
-    """Spark-side statistics over one trace; reusable across assignments.
+def _from_qid(df: pd.DataFrame, min_qid: int | None) -> pd.DataFrame:
+    return df if min_qid is None else df[df["qid"] >= min_qid]
 
-    The trace DataFrames are cached once; each method joins them with a
-    vertex→worker assignment and returns a *small* pandas aggregate for the
-    controller (the paper's high-level representation).
+
+class TraceStats:
+    """Worker reports over one trace; reusable across assignments.
+
+    Each method maps the trace's vertices to their workers under an
+    assignment and returns a *small* pandas aggregate for the controller
+    (the paper's high-level representation).
     """
 
-    def __init__(self, spark: SparkSession, trace: Trace):
-        self.spark = spark
-        # These aggregations shuffle kilobytes; the session default (64
-        # partitions at SF~=0.1) would spend more time scheduling than
-        # working. Restored in close().
-        self._saved_shuffle = spark.conf.get("spark.sql.shuffle.partitions")
-        spark.conf.set("spark.sql.shuffle.partitions", "8")
-        self.activations = spark.createDataFrame(trace.activations).cache()
-        self.messages = (
-            spark.createDataFrame(trace.messages)
-            if len(trace.messages)
-            else None
-        )
-        if self.messages is not None:
-            self.messages = self.messages.cache()
-        # distinct (qid, vid): the vertex sets of the global query scopes
-        self.scopes = self.activations.select("qid", "vid").distinct().cache()
+    def __init__(self, trace: Trace):
+        self.activations = trace.activations
+        self.messages = trace.messages
 
     def close(self) -> None:
-        self.activations.unpersist()
-        if self.messages is not None:
-            self.messages.unpersist()
-        self.scopes.unpersist()
-        self.spark.conf.set("spark.sql.shuffle.partitions", self._saved_shuffle)
-
-    # -- helpers -------------------------------------------------------------
-    def _assign_df(self, assignment: Assignment) -> DataFrame:
-        return assignment.to_spark(self.spark)
-
-    def _scopes(self, qids=None, iter_lt: dict | None = None) -> DataFrame:
-        """Distinct (qid, vid) scope membership, optionally restricted.
-
-        ``iter_lt`` maps qid -> iteration bound: for those queries only
-        activations with ``iter < bound`` count — a query still running at
-        repartition time has reported stats only for its finished
-        iterations (paper §3.4 piggybacked stats)."""
-        if not iter_lt:
-            s = self.scopes
-            if qids is not None:
-                s = s.filter(F.col("qid").isin([int(q) for q in qids]))
-            return s
-        a = self.activations
-        if qids is not None:
-            a = a.filter(F.col("qid").isin([int(q) for q in qids]))
-        bound = self.spark.createDataFrame(
-            pd.DataFrame(
-                {"qid": [int(q) for q in iter_lt], "bound": [int(b) for b in iter_lt.values()]}
-            )
-        )
-        return (
-            a.join(bound, "qid", "left")
-            .filter(F.col("bound").isNull() | (F.col("iter") < F.col("bound")))
-            .select("qid", "vid")
-            .distinct()
-        )
+        """Release nothing: the reports hold no session resources. Kept so
+        that callers that close the object, and tools that wrap the class's
+        methods by name, keep working."""
 
     # -- worker reports -------------------------------------------------------
     def active_counts(self, assignment: Assignment, min_qid: int | None = None) -> pd.DataFrame:
@@ -91,83 +49,58 @@ class TraceStats:
 
         ``min_qid`` restricts to queries not yet priced — after a mid-run
         repartition only future batches need re-pricing."""
-        a = self._assign_df(assignment)
-        acts = self.activations
-        if min_qid is not None:
-            acts = acts.filter(F.col("qid") >= int(min_qid))
+        a = _from_qid(self.activations, min_qid)
         return (
-            acts.join(a, "vid")
-            .groupBy("qid", "iter", "worker")
-            .agg(F.count("*").alias("n_active"))
-            .toPandas()
+            a[["qid", "iter"]].assign(worker=assignment.worker_of(a["vid"]))
+            .groupby(["qid", "iter", "worker"]).size().rename("n_active").reset_index()
         )
 
     def message_counts(self, assignment: Assignment, min_qid: int | None = None) -> pd.DataFrame:
         """(qid, iter, w_src, w_dst, n_msgs): message worker-pair counts."""
-        if self.messages is None:
-            return pd.DataFrame(columns=["qid", "iter", "w_src", "w_dst", "n_msgs"])
-        msgs = self.messages
-        if min_qid is not None:
-            msgs = msgs.filter(F.col("qid") >= int(min_qid))
-        a_src = self._assign_df(assignment).withColumnRenamed("worker", "w_src")
-        a_dst = self._assign_df(assignment).withColumnRenamed("worker", "w_dst")
+        m = _from_qid(self.messages, min_qid)
         return (
-            msgs.join(a_src, msgs["src"] == a_src["vid"])
-            .drop(a_src["vid"])
-            .join(a_dst, F.col("dst") == a_dst["vid"])
-            .drop(a_dst["vid"])
-            .groupBy("qid", "iter", "w_src", "w_dst")
-            .agg(F.count("*").alias("n_msgs"))
-            .toPandas()
-        )
-
-    def local_scope_sizes(
-        self, assignment: Assignment, qids=None, iter_lt: dict | None = None
-    ) -> pd.DataFrame:
-        """|LS(q,w)| (qid, worker, size) — distinct scope vertices per worker."""
-        return (
-            self._scopes(qids, iter_lt).join(self._assign_df(assignment), "vid")
-            .groupBy("qid", "worker")
-            .agg(F.count("*").alias("size"))
-            .toPandas()
-        )
-
-    def intersections_per_worker(self, assignment: Assignment, qids=None) -> pd.DataFrame:
-        """Pairwise I_w: (worker, qa, qb, shared) — shared scope vertices of
-        query pairs co-located on a worker. (The controller's clustering
-        consumes pairwise intersections; :func:`intersection_function`
-        evaluates I_w on arbitrary query subsets.)"""
-        s = self.scopes
-        if qids is not None:
-            s = s.filter(F.col("qid").isin([int(q) for q in qids]))
-        sw = s.join(self._assign_df(assignment), "vid")
-        a = sw.select(F.col("qid").alias("qa"), "vid", "worker")
-        b = sw.select(F.col("qid").alias("qb"), F.col("vid").alias("vid_b"),
-                      F.col("worker").alias("worker_b"))
-        return (
-            a.join(b, (a["vid"] == b["vid_b"]) & (a["worker"] == b["worker_b"]))
-            .filter(F.col("qa") < F.col("qb"))
-            .groupBy("worker", "qa", "qb")
-            .agg(F.count("*").alias("shared"))
-            .toPandas()
-        )
-
-    def global_pair_overlaps(self, qids=None, iter_lt: dict | None = None) -> pd.DataFrame:
-        """Global scope intersections (qa, qb, shared) — clustering input."""
-        s = self._scopes(qids, iter_lt)
-        a = s.select(F.col("qid").alias("qa"), "vid")
-        b = s.select(F.col("qid").alias("qb"), F.col("vid").alias("vid_b"))
-        return (
-            a.join(b, a["vid"] == b["vid_b"])
-            .filter(F.col("qa") < F.col("qb"))
-            .groupBy("qa", "qb")
-            .agg(F.count("*").alias("shared"))
-            .toPandas()
+            m[["qid", "iter"]]
+            .assign(w_src=assignment.worker_of(m["src"]), w_dst=assignment.worker_of(m["dst"]))
+            .groupby(["qid", "iter", "w_src", "w_dst"]).size().rename("n_msgs").reset_index()
         )
 
     def scope_vertices(self, qids=None, iter_lt: dict | None = None) -> pd.DataFrame:
-        """(qid, vid) distinct global-scope membership (for move requests)."""
-        return self._scopes(qids, iter_lt).toPandas()
+        """(qid, vid) distinct global-scope membership, optionally restricted.
+
+        ``iter_lt`` maps qid -> iteration bound: for those queries only
+        activations with ``iter < bound`` count — a query still running at
+        repartition time has reported stats only for its finished
+        iterations (paper §3.4 piggybacked stats)."""
+        a = self.activations
+        if qids is not None:
+            a = a[a["qid"].isin(qids)]
+        if iter_lt:
+            bound = a["qid"].map(iter_lt)
+            a = a[bound.isna() | (a["iter"] < bound)]
+        return a[["qid", "vid"]].drop_duplicates(ignore_index=True)
+
+
+def qcut_input(scope_vertices: pd.DataFrame, assignment: Assignment) -> QcutInput:
+    """Q-cut's statistics from distinct (qid, vid) scope membership.
+
+    ``ls[i, w]`` is |LS(q_i, w)|, the query's scope vertices on worker ``w``;
+    ``overlaps[(qa, qb)]`` (qa < qb) is the size of the two queries' global
+    scope intersection, present only for pairs that share a vertex. Queries
+    are in ascending qid order."""
+    qid = scope_vertices["qid"].to_numpy()
+    vid = scope_vertices["vid"].to_numpy()
+    qids, row = np.unique(qid, return_inverse=True)
+    ls = np.zeros((len(qids), assignment.k))
+    np.add.at(ls, (row, assignment.worker_of(vid)), 1.0)
+    sv = scope_vertices[["qid", "vid"]]
+    pairs = sv.merge(sv, on="vid")
+    shared = pairs[pairs["qid_x"] < pairs["qid_y"]].groupby(["qid_x", "qid_y"]).size()
+    return QcutInput(
+        qids=[int(q) for q in qids],
+        ls=ls,
+        vcounts=assignment.vertex_counts(),
+        overlaps={(int(a), int(b)): float(n) for (a, b), n in shared.items()},
+    )
 
 
 def intersection_function(scope_vertices: pd.DataFrame, assignment: Assignment,

@@ -97,6 +97,18 @@ class TestAdaptive:
         init = initial_assignment(net, 4, "hash")
         assert (r.final_assignment.workers != init.workers).any()
 
+    def test_needs_no_spark(self, spark, net, workload, trace):
+        """Pricing, Q-cut and re-pricing run on the driver alone."""
+        cfg = ExperimentConfig(k=4, initial="hash", adaptive=True,
+                               ils_time_budget=None, ils_max_rounds=8,
+                               adaptivity=_adapt())
+        with_spark = run_experiment(spark, net, workload, trace, cfg)
+        without = run_experiment(None, net, workload, trace, cfg)
+        assert without.per_batch["repartitioned"].any()
+        pd.testing.assert_series_equal(
+            without.per_query["latency"], with_spark.per_query["latency"]
+        )
+
     def test_deterministic(self, spark, net, workload, trace):
         cfg = ExperimentConfig(k=4, initial="hash", adaptive=True,
                                ils_time_budget=None, ils_max_rounds=8,

@@ -1,15 +1,15 @@
 """Controller statistics vs the DuckDB oracle.
 
-Every Spark aggregation in :mod:`repro.controller.stats` is checked against
-the equivalent SQL over the same inputs via ``repro.oracle.assert_equivalent``
-— a broken join or groupBy shows up as a row diff, not a green "it ran".
+Every aggregation in :mod:`repro.controller.stats` is checked against the
+equivalent SQL over the same inputs via ``repro.oracle.assert_equivalent``
+— a broken gather or groupby shows up as a row diff, not a green "it ran".
 """
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.cluster.partitioners import domain_partition, hash_partition
-from repro.controller.stats import TraceStats, intersection_function
+from repro.controller.stats import TraceStats, intersection_function, qcut_input
 from repro.engine import run_queries
 from repro.oracle import assert_equivalent
 from repro.queries.workload import hotspot_queries
@@ -30,10 +30,8 @@ def trace(spark, net):
 
 
 @pytest.fixture(scope="module")
-def stats(spark, trace):
-    s = TraceStats(spark, trace)
-    yield s
-    s.close()
+def stats(trace):
+    return TraceStats(trace)
 
 
 @pytest.fixture(scope="module", params=["hash", "domain"])
@@ -43,9 +41,21 @@ def assignment(request, net):
     return domain_partition(net, 3)
 
 
+def _ls_frame(inp) -> pd.DataFrame:
+    """|LS| (qid, worker, size) rows of a Q-cut input's non-zero ``ls`` cells."""
+    row, worker = np.nonzero(inp.ls)
+    return pd.DataFrame({"qid": np.asarray(inp.qids)[row], "worker": worker,
+                         "size": inp.ls[row, worker]})
+
+
+def _overlap_frame(inp) -> pd.DataFrame:
+    return pd.DataFrame([(a, b, n) for (a, b), n in inp.overlaps.items()],
+                        columns=["qa", "qb", "shared"])
+
+
 class TestOracle:
-    def test_active_counts(self, spark, stats, trace, assignment):
-        got = spark.createDataFrame(stats.active_counts(assignment))
+    def test_active_counts(self, stats, trace, assignment):
+        got = stats.active_counts(assignment)
         assert_equivalent(
             got,
             """
@@ -57,8 +67,8 @@ class TestOracle:
             assign=assignment.to_pandas(),
         )
 
-    def test_message_counts(self, spark, stats, trace, assignment):
-        got = spark.createDataFrame(stats.message_counts(assignment))
+    def test_message_counts(self, stats, trace, assignment):
+        got = stats.message_counts(assignment)
         assert_equivalent(
             got,
             """
@@ -73,8 +83,37 @@ class TestOracle:
             assign=assignment.to_pandas(),
         )
 
-    def test_local_scope_sizes(self, spark, stats, trace, assignment):
-        got = spark.createDataFrame(stats.local_scope_sizes(assignment))
+    def test_counts_from_min_qid(self, stats, trace, assignment):
+        """Re-pricing after a move asks only for queries qid >= min_qid."""
+        min_qid = int(sorted(trace.activations["qid"].unique())[4])
+        assert_equivalent(
+            stats.active_counts(assignment, min_qid),
+            f"""
+            SELECT a.qid, a.iter, s.worker, count(*) AS n_active
+            FROM activations a JOIN assign s USING (vid)
+            WHERE a.qid >= {min_qid}
+            GROUP BY a.qid, a.iter, s.worker
+            """,
+            activations=trace.activations,
+            assign=assignment.to_pandas(),
+        )
+        assert_equivalent(
+            stats.message_counts(assignment, min_qid),
+            f"""
+            SELECT m.qid, m.iter, s1.worker AS w_src, s2.worker AS w_dst,
+                   count(*) AS n_msgs
+            FROM messages m
+            JOIN assign s1 ON m.src = s1.vid
+            JOIN assign s2 ON m.dst = s2.vid
+            WHERE m.qid >= {min_qid}
+            GROUP BY m.qid, m.iter, s1.worker, s2.worker
+            """,
+            messages=trace.messages,
+            assign=assignment.to_pandas(),
+        )
+
+    def test_local_scope_sizes(self, stats, trace, assignment):
+        got = _ls_frame(qcut_input(stats.scope_vertices(), assignment))
         assert_equivalent(
             got,
             """
@@ -87,12 +126,10 @@ class TestOracle:
             assign=assignment.to_pandas(),
         )
 
-    def test_local_scope_sizes_partial(self, spark, stats, trace, assignment):
+    def test_local_scope_sizes_partial(self, stats, trace, assignment):
         qids = sorted(trace.activations["qid"].unique())[:3]
         iter_lt = {int(qids[0]): 2}
-        got = spark.createDataFrame(
-            stats.local_scope_sizes(assignment, qids, iter_lt)
-        )
+        got = _ls_frame(qcut_input(stats.scope_vertices(qids, iter_lt), assignment))
         assert_equivalent(
             got,
             f"""
@@ -107,26 +144,9 @@ class TestOracle:
             assign=assignment.to_pandas(),
         )
 
-    def test_intersections_per_worker(self, spark, stats, trace, assignment):
-        got = spark.createDataFrame(stats.intersections_per_worker(assignment))
-        assert_equivalent(
-            got,
-            """
-            WITH scoped AS (
-                SELECT DISTINCT a.qid, a.vid, s.worker
-                FROM activations a JOIN assign s USING (vid)
-            )
-            SELECT x.worker, x.qid AS qa, y.qid AS qb, count(*) AS shared
-            FROM scoped x JOIN scoped y
-              ON x.vid = y.vid AND x.worker = y.worker AND x.qid < y.qid
-            GROUP BY x.worker, x.qid, y.qid
-            """,
-            activations=trace.activations,
-            assign=assignment.to_pandas(),
-        )
-
-    def test_global_pair_overlaps(self, spark, stats, trace):
-        got = spark.createDataFrame(stats.global_pair_overlaps())
+    def test_global_pair_overlaps(self, net, stats, trace):
+        inp = qcut_input(stats.scope_vertices(), hash_partition(net.n_vertices, 3))
+        got = _overlap_frame(inp)
         assert_equivalent(
             got,
             """
@@ -138,8 +158,8 @@ class TestOracle:
             activations=trace.activations,
         )
 
-    def test_scope_vertices(self, spark, stats, trace):
-        got = spark.createDataFrame(stats.scope_vertices())
+    def test_scope_vertices(self, stats, trace):
+        got = stats.scope_vertices()
         assert_equivalent(
             got,
             "SELECT DISTINCT qid, vid FROM activations",
